@@ -33,11 +33,14 @@ func (b *Bitmap) SetAll() {
 	b.trim()
 }
 
-// Count returns the number of set bits.
+// Count returns the number of set bits. It only reads: bits beyond n are
+// masked, not cleared, so concurrent readers of a shared chunk never race.
 func (b *Bitmap) Count() int64 {
-	b.trim()
 	var n int
-	for _, w := range b.words {
+	for i, w := range b.words {
+		if i == len(b.words)-1 && b.n%64 != 0 {
+			w &= (1 << uint(b.n%64)) - 1
+		}
 		n += bits.OnesCount64(w)
 	}
 	return int64(n)

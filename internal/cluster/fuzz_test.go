@@ -9,8 +9,9 @@ import (
 // return an error or a message, never panic or over-allocate on a poisoned
 // length prefix; a successful decode must survive an encode/decode round
 // trip unchanged. The seeds cover the full field set (including the route
-// and heat blocks added for online rebalancing), truncations, and a
-// bit-flipped frame, so the fuzzer starts inside every block decoder.
+// and heat blocks added for online rebalancing and the scan extent block),
+// truncations, and a bit-flipped frame, so the fuzzer starts inside every
+// block decoder.
 func FuzzDecodeClusterMessage(f *testing.F) {
 	for _, m := range []*Message{
 		wireTestMessage(),
@@ -20,6 +21,8 @@ func FuzzDecodeClusterMessage(f *testing.F) {
 		{Op: "replicachunk", Array: "a", RouteVersion: 3, Nodes: []int64{0, 2},
 			Chunks: [][]byte{{0x01}}},
 		{Op: "heat", Heat: []HeatSample{{Array: "a", Origin: []int64{1, 65}, Score: 7}}},
+		{Op: "scan", Array: "a", BoxLo: []int64{1}, BoxHi: []int64{8}, WantExtent: true},
+		{Op: "scan", Payload: []byte{0x01}, Extent: []int64{5, 30}},
 	} {
 		enc, err := encodeMessage(m)
 		if err != nil {

@@ -151,11 +151,11 @@ func TestLegacyPeerWireCompat(t *testing.T) {
 	}
 
 	// Future-peer simulation: a second presence byte whose set bits are all
-	// unknown to this build (0xf0 = bits 4-7; bits 0-3 are assigned) plus
+	// unknown to this build (0xe0 = bits 5-7; bits 0-4 are assigned) plus
 	// trailing bytes beyond the known blocks must be ignored, not rejected —
 	// that is exactly how a legacy decoder survives the blocks newer peers
 	// append.
-	future := append(append([]byte(nil), enc...), 0xf0, 0xfe, 0x00, 0x42)
+	future := append(append([]byte(nil), enc...), 0xe0, 0xfe, 0x00, 0x42)
 	got2, err := decodeMessage(future)
 	if err != nil {
 		t.Fatalf("decode with unknown trailing bytes: %v", err)

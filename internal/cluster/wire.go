@@ -233,6 +233,7 @@ const (
 	msg2HasInsitu = 1 << 1 // Path + Adaptor (in-situ registration)
 	msg2HasRoute  = 1 << 2 // ExclLo/ExclHi + RouteVersion + Nodes + Release (online rebalancing)
 	msg2HasHeat   = 1 << 3 // Heat samples ("heat" response)
+	msg2HasExtent = 1 << 4 // WantExtent + Extent (box-pushdown scans)
 )
 
 // encodePredValue writes one predicate constant. Preds are scalar
@@ -408,6 +409,9 @@ func encodeMessage(m *Message) ([]byte, error) {
 	if len(m.Heat) > 0 {
 		present2 |= msg2HasHeat
 	}
+	if m.WantExtent || len(m.Extent) > 0 {
+		present2 |= msg2HasExtent
+	}
 	if present2 != 0 {
 		w.U8(present2)
 		if present2&msg2HasChunks != 0 {
@@ -438,6 +442,10 @@ func encodeMessage(m *Message) ([]byte, error) {
 				w.I64s(h.Origin)
 				w.F64(h.Score)
 			}
+		}
+		if present2&msg2HasExtent != 0 {
+			w.Bool(m.WantExtent)
+			w.I64s(m.Extent)
 		}
 	}
 	if w.Err() != nil {
@@ -654,6 +662,10 @@ func decodeMessage(data []byte) (*Message, error) {
 					}
 				}
 			}
+		}
+		if present2&msg2HasExtent != 0 {
+			m.WantExtent = r.Bool()
+			m.Extent = r.I64s()
 		}
 	}
 	if r.Err() != nil {

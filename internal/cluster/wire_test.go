@@ -77,6 +77,8 @@ func wireTestMessage() *Message {
 			{Array: "sky", Origin: []int64{1, 65}, Score: 42.5},
 			{Array: "sky", Origin: []int64{65, 65}, Score: 1},
 		},
+		WantExtent: true,
+		Extent:     []int64{4, 128, 30},
 	}
 }
 
@@ -86,6 +88,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{},           // zero message
 		{Op: "ping"}, // minimal request
 		{Op: "scan", Err: "cluster: node 1 has no array \"ghost\""},
+		{Op: "scan", Array: "raw", WantExtent: true}, // extent request
 	} {
 		enc, err := encodeMessage(m)
 		if err != nil {

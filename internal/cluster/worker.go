@@ -108,6 +108,14 @@ type Message struct {
 	// Heat is the "heat" response: the node's decayed per-chunk access
 	// scores (second presence byte, own bit).
 	Heat []HeatSample
+	// WantExtent, on a "scan" request, asks the worker to report its
+	// partition's extent in the response's Extent: per dimension, the
+	// largest coordinate any cell of the whole partition occupies (not
+	// just the scanned box). A box-pushdown subsample needs the array's
+	// full extent to size its output as a full gather would. Both ride
+	// one bit of the second presence byte.
+	WantExtent bool
+	Extent     []int64
 }
 
 // Partial is a combinable aggregate fragment computed by one worker for one
@@ -480,19 +488,52 @@ func (w *Worker) put(req *Message) (*Message, error) {
 }
 
 func (w *Worker) scan(req *Message) (*Message, error) {
+	out, n, skipped, ext, err := w.scanLocked(req)
+	if err != nil {
+		return nil, err
+	}
+	// out is private to this request: encode it without the worker lock so
+	// concurrent sessions' scans on this node overlap their encodes.
+	payload, err := storage.EncodeArray(out)
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	w.stats.CellsScanned += n
+	w.stats.BytesOut += int64(len(payload))
+	w.mu.Unlock()
+	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: skipped, Extent: ext}, nil
+}
+
+// scanLocked gathers the partition's cells inside the request box into a
+// fresh array, under the worker lock. It also returns the cell count, the
+// buckets pruned by zone map, and (when asked) the partition's extent.
+func (w *Worker) scanLocked(req *Message) (out *array.Array, n, skipped int64, ext []int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s, iter, err := w.partLocked(req.Array)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, nil, err
 	}
-	out, err := array.New(s.Clone())
-	if err != nil {
-		return nil, err
+	if req.WantExtent {
+		if ext, err = w.extentLocked(req.Array); err != nil {
+			return nil, 0, 0, nil, err
+		}
 	}
 	box := boxFrom(req, len(s.Dims))
 	excl := exclBoxes(req)
-	var n, skipped int64
+	st, isStore := w.stores[req.Array]
+	if isStore && len(req.Preds) == 0 && len(excl) == 0 {
+		// Nothing to filter: whole pool chunks inside the box are adopted
+		// as they are, only chunks the box cuts are walked cell by cell.
+		if out, err = st.ReadBox(box); err != nil {
+			return nil, 0, 0, nil, err
+		}
+		return out, out.Count(), 0, ext, nil
+	}
+	if out, err = array.New(s.Clone()); err != nil {
+		return nil, 0, 0, nil, err
+	}
 	var werr error
 	visit := func(c array.Coord, cell array.Cell) bool {
 		if cellExcluded(c, excl) {
@@ -511,24 +552,35 @@ func (w *Worker) scan(req *Message) (*Message, error) {
 	// A predicated scan over a store-backed partition prunes whole buckets
 	// by zone map before reading them — cells the coordinator would have
 	// paid to ship, decode, and discard.
-	if st, ok := w.stores[req.Array]; ok && len(req.Preds) > 0 {
+	if isStore && len(req.Preds) > 0 {
 		skipped, err = st.ScanPruned(box, req.Preds, visit)
 	} else {
 		err = iter(box, visit)
 	}
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		return nil, 0, 0, nil, err
+	}
+	return out, n, skipped, ext, nil
+}
+
+// extentLocked reports a partition's extent: per dimension, the largest
+// coordinate any of its cells occupies (partition dimensions are
+// unbounded, so this is exactly what a full gather's bounds show).
+func (w *Worker) extentLocked(name string) ([]int64, error) {
+	if st, ok := w.stores[name]; ok {
+		return st.Extent()
+	}
+	if p, ok := w.insitus[name]; ok {
+		return w.insituExtent(p)
+	}
+	a, err := w.local(name)
 	if err != nil {
 		return nil, err
 	}
-	if werr != nil {
-		return nil, werr
-	}
-	payload, err := storage.EncodeArray(out)
-	if err != nil {
-		return nil, err
-	}
-	w.stats.CellsScanned += n
-	w.stats.BytesOut += int64(len(payload))
-	return &Message{Op: "scan", Payload: payload, Cells: n, Skipped: skipped}, nil
+	return a.Bounds(), nil
 }
 
 func (w *Worker) agg(req *Message) (*Message, error) {

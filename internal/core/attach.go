@@ -6,7 +6,6 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/insitu"
-	"scidb/internal/ops"
 	"scidb/internal/parser"
 	"scidb/internal/partition"
 )
@@ -21,6 +20,9 @@ type attachedDS struct {
 	// cached holds the fully materialized array once some query has needed
 	// all of it; box-limited queries bypass it.
 	cached *array.Array
+	// extent is the dataset's full extent once a box pushdown has needed
+	// it (see attachedExtent). Both caches are guarded by db.mu.
+	extent []int64
 }
 
 // runAttach registers the external file. Only the header is read.
@@ -102,17 +104,6 @@ func (db *Database) runCreateFromFile(s *parser.CreateFromFile) (*Result, error)
 		s.Name, s.Path, s.Adaptor)}, nil
 }
 
-// attachedFor returns the attachment record for a Ref name, if any.
-func (db *Database) attachedFor(e parser.ArrayExpr) *attachedDS {
-	ref, ok := e.(*parser.Ref)
-	if !ok {
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.attached[ref.Name]
-}
-
 // materializeAttached loads the whole dataset once and caches it (a query
 // needed more than a box).
 func (db *Database) materializeAttached(name string, at *attachedDS) (*array.Array, error) {
@@ -128,101 +119,4 @@ func (db *Database) materializeAttached(name string, at *attachedDS) (*array.Arr
 	a.Schema.Name = name
 	at.cached = a
 	return a, nil
-}
-
-// subsampleBox derives the contiguous coordinate box implied by a
-// subsample conjunction, when every conjunct is a range-style comparison.
-// ok is false when a conjunct (even/odd/!=) cannot be expressed as a box.
-func subsampleBox(s *array.Schema, conds []parser.DimCond) (array.Box, bool) {
-	lo := make(array.Coord, len(s.Dims))
-	hi := make(array.Coord, len(s.Dims))
-	for i, d := range s.Dims {
-		lo[i] = 1
-		if d.High == array.Unbounded {
-			hi[i] = 1 << 40
-		} else {
-			hi[i] = d.High
-		}
-	}
-	for _, c := range conds {
-		d := s.DimIndex(c.Dim)
-		if d < 0 {
-			return array.Box{}, false
-		}
-		switch c.Op {
-		case "=":
-			lo[d], hi[d] = maxI(lo[d], c.Value), minI(hi[d], c.Value)
-		case "<":
-			hi[d] = minI(hi[d], c.Value-1)
-		case "<=":
-			hi[d] = minI(hi[d], c.Value)
-		case ">":
-			lo[d] = maxI(lo[d], c.Value+1)
-		case ">=":
-			lo[d] = maxI(lo[d], c.Value)
-		default:
-			return array.Box{}, false
-		}
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			// Empty box: still pushable (scan returns nothing).
-			hi[i] = lo[i] - 1
-		}
-	}
-	return array.Box{Lo: lo, Hi: hi}, true
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// evalAttachedSubsample is the in-situ pushdown: SUBSAMPLE over an attached
-// dataset with a box-expressible predicate scans only that box from the
-// file, then applies the operator to re-index the slices.
-func (db *Database) evalAttachedSubsample(at *attachedDS, n *parser.SubsampleExpr) (*array.Array, bool, error) {
-	if at.cached != nil {
-		return nil, false, nil // already in memory: normal path is fine
-	}
-	schema := at.ds.Schema()
-	box, ok := subsampleBox(schema, n.Pred)
-	if !ok {
-		return nil, false, nil
-	}
-	partial, err := array.New(schema.Clone())
-	if err != nil {
-		return nil, false, err
-	}
-	var werr error
-	if err := at.ds.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := partial.Set(c.Clone(), cell.Clone()); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	}); err != nil {
-		return nil, false, err
-	}
-	if werr != nil {
-		return nil, false, werr
-	}
-	conds, err := dimConds(n.Pred)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := ops.Subsample(partial, conds)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
 }

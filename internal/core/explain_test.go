@@ -100,6 +100,20 @@ func TestExplainAnalyzeCluster(t *testing.T) {
 		t.Errorf("gather profile missing node breakdown:\n%s", r.Msg)
 	}
 
+	// A box subsample is pushed to the workers. The first one after a
+	// write asks every node for its extent; later ones visit only the node
+	// that owns the box (x <= 4 is node 0's half).
+	exec(t, db, "subsample(D, x <= 4)")
+	r = exec(t, db, "explain analyze subsample(D, x <= 4)")
+	for _, want := range []string{"box_pushdown=1", "nodes=1", "node 0"} {
+		if !strings.Contains(r.Msg, want) {
+			t.Errorf("subsample profile missing %q:\n%s", want, r.Msg)
+		}
+	}
+	if strings.Contains(r.Msg, "node 1") {
+		t.Errorf("subsample profile visited node 1, which owns nothing in the box:\n%s", r.Msg)
+	}
+
 	// The query itself returns the right data through the cluster path.
 	res := exec(t, db, "aggregate(D, {}, sum(v))")
 	if res.Array == nil || res.Array.Count() != 1 {

@@ -106,23 +106,10 @@ func (db *Database) evalNode(ctx context.Context, e parser.ArrayExpr) (*array.Ar
 		}
 		return v.Materialize()
 	case *parser.SubsampleExpr:
-		// In-situ pushdown: a box-expressible subsample over an attached
-		// dataset reads only the box from the file.
-		if at := db.attachedFor(n.In); at != nil {
-			if res, done, err := db.evalAttachedSubsample(at, n); err != nil {
-				return nil, err
-			} else if done {
-				return res, nil
-			}
-		}
-		// Store pushdown: box-expressible subsample over a store-backed
-		// array scans only the box (R-tree pruning, pool-resident chunks).
-		if st := db.storeBackedFor(n.In); st != nil {
-			if res, done, err := db.evalStoreSubsample(st, n); err != nil {
-				return nil, err
-			} else if done {
-				return res, nil
-			}
+		// Box pushdown: a box-expressible subsample over an attached,
+		// store-backed, or distributed array reads only the box.
+		if res, done, err := db.evalBoxSubsample(ctx, n); err != nil || done {
+			return res, err
 		}
 		in, err := db.eval(ctx, n.In)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"scidb/internal/array"
 	"scidb/internal/bufcache"
-	"scidb/internal/ops"
 	"scidb/internal/parser"
 	"scidb/internal/storage"
 )
@@ -57,8 +56,8 @@ func (db *Database) storeBackedFor(e parser.ArrayExpr) *storage.Store {
 	return db.stores[ref.Name]
 }
 
-// storeBox is the full extent of a store's schema (unbounded dims get the
-// same ceiling subsampleBox uses).
+// storeBox is the everything-box of a schema: declared bounds, and a
+// 2^40 ceiling on unbounded dimensions.
 func storeBox(s *array.Schema) array.Box {
 	lo := make(array.Coord, len(s.Dims))
 	hi := make(array.Coord, len(s.Dims))
@@ -73,77 +72,13 @@ func storeBox(s *array.Schema) array.Box {
 	return array.Box{Lo: lo, Hi: hi}
 }
 
-// scanStoreBox reads one box of a store into a fresh array.
-func scanStoreBox(st *storage.Store, box array.Box) (*array.Array, error) {
-	out, err := array.New(st.Schema().Clone())
-	if err != nil {
-		return nil, err
-	}
-	var werr error
-	if err := st.Scan(box, func(c array.Coord, cell array.Cell) bool {
-		if err := out.Set(c.Clone(), cell.Clone()); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	return out, nil
-}
-
 // materializeStore reads a store-backed array's full extent. There is no
 // array-level cache on purpose: the chunk pool already makes repeat reads
 // memory-resident, and staying pool-backed keeps results consistent with
-// later writes to the store.
-//
-// It first tries chunk-at-a-time delivery: whole decoded buckets are
-// cloned out of the shared pool and adopted, which both skips the
-// cell-by-cell rebuild and — because Clone preserves the decoder's
-// advisory views — hands the operators zone maps and RLE/dictionary
-// structure for compressed execution. The store refuses chunk delivery
-// when shadowing is in play (pending memory-buffer cells, overlapping
-// buckets); the cell-level scan then rebuilds the array exactly.
+// later writes to the store. ReadBox adopts whole decoded buckets where
+// shadowing allows, which skips the cell-by-cell rebuild and — because
+// Clone preserves the decoder's advisory views — hands the operators zone
+// maps and RLE/dictionary structure for compressed execution.
 func (db *Database) materializeStore(st *storage.Store) (*array.Array, error) {
-	box := storeBox(st.Schema())
-	out, err := array.New(st.Schema().Clone())
-	if err != nil {
-		return nil, err
-	}
-	_, _, ok, err := st.ScanEncodedChunks(box, nil, func(ch *array.Chunk) error {
-		return out.MergeChunk(ch.Clone())
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return out, nil
-	}
-	return scanStoreBox(st, box)
-}
-
-// evalStoreSubsample is the store pushdown twin of evalAttachedSubsample:
-// a box-expressible SUBSAMPLE over a store-backed array scans only that box
-// (R-tree pruning + pool), then re-indexes through the operator.
-func (db *Database) evalStoreSubsample(st *storage.Store, n *parser.SubsampleExpr) (*array.Array, bool, error) {
-	box, ok := subsampleBox(st.Schema(), n.Pred)
-	if !ok {
-		return nil, false, nil
-	}
-	partial, err := scanStoreBox(st, box)
-	if err != nil {
-		return nil, false, err
-	}
-	conds, err := dimConds(n.Pred)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := ops.Subsample(partial, conds)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+	return st.ReadBox(storeBox(st.Schema()))
 }

@@ -179,6 +179,51 @@ func (s *Store) ScanEncodedChunks(q array.Box, preds []array.ZonePred, fn func(*
 	return visited, skipped, true, nil
 }
 
+// ReadBox returns the cells inside q as a fresh array of the store's
+// schema. It delivers chunk at a time where it can: buckets wholly inside
+// q are cloned out of the pool and adopted whole (keeping their zone maps
+// and encoded views for the operators), and only buckets q cuts are copied
+// cell by cell. When shadowing rules chunk delivery out (buffered cells or
+// overlapping buckets in q) it rebuilds the array through Scan instead.
+func (s *Store) ReadBox(q array.Box) (*array.Array, error) {
+	out, err := array.New(s.schema.Clone())
+	if err != nil {
+		return nil, err
+	}
+	_, _, ok, err := s.ScanEncodedChunks(q, nil, func(ch *array.Chunk) error {
+		cb := ch.Box()
+		if q.Contains(cb.Lo) && q.Contains(cb.Hi) {
+			return out.MergeChunk(ch.Clone())
+		}
+		inter, hit := cb.Intersect(q)
+		if !hit {
+			return nil
+		}
+		var werr error
+		array.IterBox(inter, func(c array.Coord) bool {
+			if cell, present := ch.Get(c); present {
+				werr = out.Set(c.Clone(), cell)
+			}
+			return werr == nil
+		})
+		return werr
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return out, nil
+	}
+	var werr error
+	if err := s.Scan(q, func(c array.Coord, cell array.Cell) bool {
+		werr = out.Set(c.Clone(), cell)
+		return werr == nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, werr
+}
+
 // searchMetasLocked collects the buckets intersecting q, newest first.
 func (s *Store) searchMetasLocked(q array.Box) []*bucketMeta {
 	var metas []*bucketMeta
