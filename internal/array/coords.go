@@ -116,6 +116,16 @@ func (b Box) Cells() int64 {
 	return n
 }
 
+// MaxInto raises each dst[i] to at least src[i]; entries of src beyond
+// dst are ignored.
+func MaxInto(dst, src []int64) {
+	for i, v := range src {
+		if i < len(dst) && v > dst[i] {
+			dst[i] = v
+		}
+	}
+}
+
 // Union returns the smallest box covering both.
 func (b Box) Union(o Box) Box {
 	lo := make(Coord, len(b.Lo))
